@@ -544,7 +544,7 @@ fn bench_csq_walk(c: &mut Criterion) {
             i += 1;
             let mut table = ContactTable::new();
             let mut stats = MsgStats::default();
-            select_contacts(
+            let walks = select_contacts(
                 &net,
                 &cfg,
                 NodeId::new(0),
@@ -555,7 +555,7 @@ fn bench_csq_walk(c: &mut Criterion) {
                 ALL_EDGE_NODES,
                 &mut scratch,
             );
-            black_box(table.len())
+            black_box((table.len(), walks.total()))
         })
     });
 }
@@ -621,6 +621,26 @@ fn bench_protocol_sweeps(c: &mut Criterion) {
     };
     run_validate("sharded", true);
     run_validate("serial", false);
+    group.finish();
+}
+
+/// The §III.B reachability summary at N = 1000 (scenario-5 density,
+/// protocol parameters of `experiments::scale::protocol_config`) on a
+/// world with selected contact tables: every node's depth-3 reachable
+/// set, fanned out over the worker pool and folded in node order.
+fn bench_reachability_summary(c: &mut Criterion) {
+    let n = 1000usize;
+    let cfg = CardConfig::default()
+        .with_radius(2)
+        .with_max_contact_distance(8)
+        .with_target_contacts(4)
+        .with_seed(29);
+    let mut w = card_core::CardWorld::build(&scaled_scenario(n), cfg);
+    w.select_all_contacts();
+    let mut group = c.benchmark_group(format!("reachability_summary/n{n}"));
+    group.bench_function("d3", |b| {
+        b.iter(|| black_box(w.reachability_summary(3).mean_pct))
+    });
     group.finish();
 }
 
@@ -1028,6 +1048,7 @@ criterion_group! {
         bench_bitset_union,
         bench_csq_walk,
         bench_protocol_sweeps,
+        bench_reachability_summary,
         bench_query_engine,
         bench_message_plane,
         bench_query_retry,

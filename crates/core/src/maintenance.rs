@@ -396,7 +396,7 @@ mod tests {
             #[test]
             fn prop_survivors_have_valid_paths(seed in 0u64..300) {
                 use crate::contact::ContactTable;
-                use crate::csq::{select_contacts, CsqScratch, ALL_EDGE_NODES};
+                use crate::csq::{select_contacts, CsqScratch, CsqWalkStats, ALL_EDGE_NODES};
                 use mobility::waypoint::RandomWaypoint;
 
                 let scenario = Scenario::new(120, 420.0, 420.0, 55.0);
@@ -411,18 +411,24 @@ mod tests {
 
                 // tables for a handful of sources
                 let mut scratch = CsqScratch::new();
+                let mut walks = CsqWalkStats::default();
                 let mut tables: Vec<(NodeId, ContactTable)> = (0..10u32)
                     .map(|i| {
                         let node = NodeId::new(i);
                         let mut t = ContactTable::new();
                         let mut rng = splitter.stream("prop-sel", i as u64);
-                        select_contacts(
+                        walks.absorb(&select_contacts(
                             &net, &config, node, &mut t, &mut rng, &mut stats, SimTime::ZERO,
                             ALL_EDGE_NODES, &mut scratch,
-                        );
+                        ));
                         (node, t)
                     })
                     .collect();
+                // the summed pass stats account for every selection message,
+                // and every contact took a walk of its own
+                prop_assert_eq!(walks.total(), stats.total_where(MsgKind::is_selection));
+                let held: usize = tables.iter().map(|(_, t)| t.len()).sum();
+                prop_assert!(held as u64 <= walks.walks);
 
                 // perturb the topology, then validate
                 let mut model = RandomWaypoint::new(

@@ -9,6 +9,7 @@
 
 use manet_routing::network::Network;
 use net_topology::node::NodeId;
+use sim_core::par::parallel_map_with;
 use sim_core::stats::PercentHistogram;
 use sim_core::util::BitSet;
 use std::cell::RefCell;
@@ -27,8 +28,8 @@ pub const REACH_BUCKET_PCT: f64 = 5.0;
 /// level-synchronous engine of [`QueryScratch`] (the same traversal a DSQ
 /// performs — the set it accumulates is exactly the region a depth-`depth`
 /// query consults), and `out` is reused by callers that sweep many
-/// sources ([`ReachabilitySummary::compute`] runs all N sources on one
-/// scratch and one bitset).
+/// sources ([`ReachabilitySummary::compute`] runs each worker's sources on
+/// one scratch and one bitset).
 ///
 /// # Panics
 /// Panics if `out` was built for fewer than `net.node_count()` nodes.
@@ -123,27 +124,43 @@ pub struct ReachabilitySummary {
     pub histogram: PercentHistogram,
 }
 
+/// Sources per work item of [`ReachabilitySummary::compute`]'s fan-out:
+/// enough items to rebalance stragglers, few enough to amortize the queue.
+const SUMMARY_CHUNK: usize = 128;
+
 impl ReachabilitySummary {
     /// Compute the distribution for every node at contact depth `depth`.
     ///
-    /// One walk scratch and one accumulator bitset serve all N sources —
-    /// the per-source work is the contact walk and the zone unions, with
-    /// no per-source allocation (the old implementation allocated two
-    /// O(N) vectors and a bitset per source: 2·N throwaway vectors per
-    /// summary).
-    pub fn compute<T: TableSource>(net: &Network, contact_tables: T, depth: u16) -> Self {
+    /// Sources fan out in contiguous chunks over [`parallel_map_with`],
+    /// with one walk scratch and one accumulator bitset per worker — no
+    /// per-source allocation. The histogram and the sum are then folded
+    /// in node order, so the result (`mean_pct` included) is bit-identical
+    /// to a serial loop at any worker count.
+    pub fn compute<T: TableSource + Sync>(net: &Network, contact_tables: T, depth: u16) -> Self {
         let n = net.node_count();
+        let chunks: Vec<std::ops::Range<usize>> = (0..n)
+            .step_by(SUMMARY_CHUNK)
+            .map(|lo| lo..(lo + SUMMARY_CHUNK).min(n))
+            .collect();
+        let per_chunk = parallel_map_with(
+            chunks,
+            || (QueryScratch::with_capacity(n), BitSet::new(n)),
+            |(scratch, set), range| {
+                range
+                    .map(|i| {
+                        let source = NodeId::from(i);
+                        reachability_set_into(net, &contact_tables, source, depth, scratch, set);
+                        100.0 * set.len() as f64 / n as f64
+                    })
+                    .collect::<Vec<f64>>()
+            },
+        );
+        let per_node_pct = per_chunk.concat();
         let mut histogram = PercentHistogram::new(REACH_BUCKET_PCT);
-        let mut per_node_pct = Vec::with_capacity(n);
         let mut sum = 0.0;
-        let mut scratch = QueryScratch::with_capacity(n);
-        let mut set = BitSet::new(n);
-        for source in NodeId::all(n) {
-            reachability_set_into(net, &contact_tables, source, depth, &mut scratch, &mut set);
-            let pct = 100.0 * set.len() as f64 / n as f64;
+        for &pct in &per_node_pct {
             histogram.record(pct);
             sum += pct;
-            per_node_pct.push(pct);
         }
         ReachabilitySummary {
             mean_pct: if n == 0 { 0.0 } else { sum / n as f64 },
@@ -296,5 +313,69 @@ mod tests {
         tables[16].add(Contact::new(n(19), (16..20).map(n).collect()));
         let pct = reachability_pct(&net, &tables, n(0), 10);
         assert!(pct <= 100.0);
+    }
+
+    /// The summary as a plain serial loop: one source at a time, histogram
+    /// and sum folded as each source completes.
+    fn serial_summary<T: TableSource>(net: &Network, tables: T, depth: u16) -> ReachabilitySummary {
+        let n = net.node_count();
+        let mut histogram = PercentHistogram::new(REACH_BUCKET_PCT);
+        let mut per_node_pct = Vec::with_capacity(n);
+        let mut sum = 0.0;
+        let mut scratch = QueryScratch::with_capacity(n);
+        let mut set = BitSet::new(n);
+        for source in NodeId::all(n) {
+            reachability_set_into(net, &tables, source, depth, &mut scratch, &mut set);
+            let pct = 100.0 * set.len() as f64 / n as f64;
+            histogram.record(pct);
+            sum += pct;
+            per_node_pct.push(pct);
+        }
+        ReachabilitySummary {
+            mean_pct: if n == 0 { 0.0 } else { sum / n as f64 },
+            per_node_pct,
+            histogram,
+        }
+    }
+
+    fn assert_bit_identical(got: &ReachabilitySummary, want: &ReachabilitySummary) {
+        let bits = |s: &ReachabilitySummary| -> Vec<u64> {
+            s.per_node_pct.iter().map(|p| p.to_bits()).collect()
+        };
+        assert_eq!(bits(got), bits(want));
+        assert_eq!(got.mean_pct.to_bits(), want.mean_pct.to_bits());
+        assert_eq!(got.histogram.counts(), want.histogram.counts());
+    }
+
+    #[test]
+    fn parallel_summary_matches_serial_loop_on_sharded_tables() {
+        use crate::config::CardConfig;
+        use crate::world::CardWorld;
+        use net_topology::scenario::Scenario;
+
+        // 2·SUMMARY_CHUNK + 45 sources: the last chunk is a partial one.
+        let nodes = 2 * SUMMARY_CHUNK + 45;
+        let cfg = CardConfig::default()
+            .with_radius(2)
+            .with_max_contact_distance(8)
+            .with_target_contacts(3)
+            .with_seed(7);
+        let mut w = CardWorld::build(&Scenario::new(nodes, 700.0, 700.0, 70.0), cfg);
+        w.select_all_contacts();
+        for shards in [1, 4] {
+            w.set_shard_count(shards);
+            for depth in [1u16, 3] {
+                let got = ReachabilitySummary::compute(w.network(), w.contact_tables(), depth);
+                let want = serial_summary(w.network(), w.contact_tables(), depth);
+                assert_bit_identical(&got, &want);
+            }
+        }
+        // Fewer sources than one chunk.
+        let net = line_net();
+        let tables = empty_tables(20);
+        assert_bit_identical(
+            &ReachabilitySummary::compute(&net, &tables, 2),
+            &serial_summary(&net, &tables, 2),
+        );
     }
 }

@@ -75,23 +75,30 @@ pub fn decides_to_be_contact(
     d: u16,
     rng: &mut RngStream,
 ) -> bool {
-    if !passes_overlap_checks(tables, candidate, source, contact_list) {
+    let excluded = !passes_overlap_checks(tables, candidate, source, contact_list)
+        || (cfg.method == SelectionMethod::Edge
+            && !passes_edge_check(tables, candidate, edge_list));
+    decides_unless_excluded(cfg, excluded, d, rng)
+}
+
+/// The §III.C.2 decision once its zone checks are settled: `excluded`
+/// says an overlap check (or, for EM, the edge check) failed. An excluded
+/// candidate refuses without a draw; otherwise EM accepts and PM accepts
+/// with its eq. 1/eq. 2 probability at walk hop count `d`.
+pub(crate) fn decides_unless_excluded(
+    cfg: &CardConfig,
+    excluded: bool,
+    d: u16,
+    rng: &mut RngStream,
+) -> bool {
+    if excluded {
         return false;
     }
+    let r = cfg.max_contact_distance;
     match cfg.method {
-        SelectionMethod::ProbabilisticEq1 => rng.chance(pm_probability(
-            d,
-            cfg.radius,
-            cfg.max_contact_distance,
-            false,
-        )),
-        SelectionMethod::ProbabilisticEq2 => rng.chance(pm_probability(
-            d,
-            cfg.radius,
-            cfg.max_contact_distance,
-            true,
-        )),
-        SelectionMethod::Edge => passes_edge_check(tables, candidate, edge_list),
+        SelectionMethod::ProbabilisticEq1 => rng.chance(pm_probability(d, cfg.radius, r, false)),
+        SelectionMethod::ProbabilisticEq2 => rng.chance(pm_probability(d, cfg.radius, r, true)),
+        SelectionMethod::Edge => true,
     }
 }
 

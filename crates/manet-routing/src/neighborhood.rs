@@ -133,17 +133,28 @@ impl Neighborhood {
 
     /// Hop-shortest intra-zone path from the owner to `node` (inclusive).
     pub fn path_to(&self, node: NodeId) -> Option<Vec<NodeId>> {
-        let mut k = self.pos(node)?;
-        let mut path = Vec::with_capacity(self.dist[k] as usize + 1);
+        let mut path = Vec::new();
+        self.path_to_into(node, &mut path).then_some(path)
+    }
+
+    /// [`Neighborhood::path_to`] into a caller-owned buffer (cleared
+    /// first), so hot loops reuse one route allocation. Returns `false`,
+    /// leaving `out` empty, when `node` is outside the neighborhood.
+    pub fn path_to_into(&self, node: NodeId, out: &mut Vec<NodeId>) -> bool {
+        out.clear();
+        let Some(mut k) = self.pos(node) else {
+            return false;
+        };
+        out.reserve_exact(self.dist[k] as usize + 1);
         let mut cur = node;
-        path.push(cur);
+        out.push(cur);
         while cur != self.owner {
             cur = self.parent[k];
-            path.push(cur);
+            out.push(cur);
             k = self.pos(cur).expect("parents stay inside the neighborhood");
         }
-        path.reverse();
-        Some(path)
+        out.reverse();
+        true
     }
 
     /// Members in ascending id order (owner included).
