@@ -985,6 +985,41 @@ fn bench_query_retry(c: &mut Criterion) {
     }
 }
 
+/// The retry queue's own bookkeeping at 16384 queued pairs, with no query
+/// re-run: each iteration schedules every pair twice (the second schedule
+/// is refused as a duplicate), then ticks and reports every due retry as a
+/// miss until the attempt cap drains the queue.
+fn bench_retry_queue_bookkeeping(c: &mut Criterion) {
+    use card_core::QueryRetryQueue;
+    let q = 16_384u32;
+    let pairs: Vec<(NodeId, NodeId)> = (0..q)
+        .map(|i| {
+            (
+                NodeId::new(i),
+                NodeId::new(i.wrapping_mul(2_654_435_761) % q),
+            )
+        })
+        .collect();
+    c.bench_function(format!("query_retry/queue/q{q}"), |b| {
+        let mut due = Vec::new();
+        b.iter(|| {
+            let mut queue = QueryRetryQueue::new(3);
+            for &(s, t) in pairs.iter().chain(&pairs) {
+                queue.schedule(s, t);
+            }
+            let mut rounds = 0u32;
+            while !queue.is_empty() {
+                queue.tick(&mut due);
+                for &(s, t, attempt) in &due {
+                    queue.report(s, t, attempt, false);
+                }
+                rounds += 1;
+            }
+            black_box((rounds, queue.stats().abandoned))
+        })
+    });
+}
+
 /// The event-driven drive loop vs the tick-synchronous reference at
 /// N = 10000 (scenario-5 density, the populations of `repro scale-events`):
 /// each iteration advances the same live world by one virtual second
@@ -1052,6 +1087,7 @@ criterion_group! {
         bench_query_engine,
         bench_message_plane,
         bench_query_retry,
+        bench_retry_queue_bookkeeping,
         bench_drive_loops,
 }
 criterion_main!(micro);

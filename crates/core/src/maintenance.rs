@@ -11,6 +11,17 @@
 //! 4. a validated path whose hop count leaves `[2R, r]` ⇒ contact lost;
 //! 5. after validating, if fewer than NoC contacts remain, new selection is
 //!    initiated (done by the caller — see [`crate::world::CardWorld`]).
+//!
+//! ## The intact-path fast path
+//!
+//! Most stored paths survive a round untouched (typically 80–90%). A
+//! round therefore first checks every hop of a path; when all of them are
+//! live and admitted, the contact is charged its hop count, loops are cut
+//! in place, and it stays where it is in the table — no allocation. Only
+//! a broken path runs local recovery, which walks the rest of the stored
+//! path with an index cursor and splices intra-zone routes from a reused
+//! buffer. Contacts are filtered in place, so the table keeps its own
+//! allocation across rounds.
 
 use manet_routing::network::Network;
 use net_topology::node::NodeId;
@@ -51,65 +62,65 @@ fn compress_loops(path: &mut Vec<NodeId>) {
     }
 }
 
-/// Validate one stored path against the current topology, healing it with
-/// local recovery where allowed. Returns the healed path (`None` ⇒ lost)
-/// plus (validation message count, recovery-used flag).
+/// Heal a stored path whose hop `(path[b], path[b + 1])` failed, with
+/// local recovery where allowed: `healed` starts as the intact prefix
+/// `path[..=b]` and the rest of the path is walked by index. Returns
+/// whether the path was salvaged (the healed path is then in `healed`,
+/// loops cut) plus whether recovery spliced anything in. `msgs` is
+/// charged every hop the validation message travels, detours included.
 ///
 /// `allowed` is an extra per-hop admission predicate layered on top of the
-/// substrate's `is_link`: the calm path passes `|_, _| true` (and compiles
-/// to exactly the pre-fault behavior), while fault injection uses it to
-/// veto hops into crashed nodes or across a partition cut — including the
-/// hops of a locally recovered splice, which would otherwise smuggle a
+/// substrate's `is_link` (see [`validate_contacts_filtered`]); it also
+/// vetoes the hops of a recovery splice, which would otherwise smuggle a
 /// route through a region the fault plane has taken down.
-fn validate_path(
+#[allow(clippy::too_many_arguments)] // one validation message's state
+fn heal_path(
     net: &Network,
     cfg: &CardConfig,
     path: &[NodeId],
+    b: usize,
+    healed: &mut Vec<NodeId>,
+    route: &mut Vec<NodeId>,
     msgs: &mut u64,
     allowed: &dyn Fn(NodeId, NodeId) -> bool,
-) -> (Option<Vec<NodeId>>, bool) {
-    let mut healed: Vec<NodeId> = vec![path[0]];
-    let mut rest: Vec<NodeId> = path[1..].to_vec();
+) -> (bool, bool) {
+    healed.clear();
+    healed.extend_from_slice(&path[..=b]);
+    *msgs += b as u64;
     let mut used_recovery = false;
-
-    'outer: while !rest.is_empty() {
-        let cur = *healed.last().unwrap();
-        let next = rest[0];
-        if net.is_link(cur, next) && allowed(cur, next) {
+    let mut next = b + 1;
+    'outer: while next < path.len() {
+        let cur = *healed.last().expect("healed path starts at the source");
+        if net.is_link(cur, path[next]) && allowed(cur, path[next]) {
             *msgs += 1; // the validation message traverses this hop
-            healed.push(next);
-            rest.remove(0);
+            healed.push(path[next]);
+            next += 1;
             continue;
         }
         // Next hop is gone. Local recovery (§III.C.3): look for the next
         // hop — or any later node of the source path — in cur's
-        // neighborhood table and splice the intra-zone route in.
+        // neighborhood table and splice the intra-zone route in. A path
+        // that folds back onto `cur` itself splices the empty route
+        // `[cur]`: it skips ahead at no cost.
         if cfg.local_recovery {
-            for (k, &candidate) in rest.iter().enumerate() {
-                if candidate == cur {
-                    // the path folds back onto the current node: skip ahead
-                    rest.drain(..=k);
-                    used_recovery = true;
-                    continue 'outer;
-                }
-                if let Some(route) = net.tables().of(cur).path_to(candidate) {
+            for (k, &candidate) in path.iter().enumerate().skip(next) {
+                if net.tables().of(cur).path_to_into(candidate, route) {
                     if !route.windows(2).all(|w| allowed(w[0], w[1])) {
                         continue;
                     }
                     // route = [cur, ..., candidate]; message walks it
                     *msgs += route.len() as u64 - 1;
                     healed.extend_from_slice(&route[1..]);
-                    rest.drain(..=k);
+                    next = k + 1;
                     used_recovery = true;
                     continue 'outer;
                 }
             }
         }
-        return (None, used_recovery);
+        return (false, used_recovery);
     }
-
-    compress_loops(&mut healed);
-    (Some(healed), used_recovery)
+    compress_loops(healed);
+    (true, used_recovery)
 }
 
 /// Number of shard-boundary crossings along `path` when nodes are
@@ -153,35 +164,45 @@ pub fn validate_contacts_filtered(
 ) -> ValidationReport {
     let mut report = ValidationReport::default();
     let (min_hops, max_hops) = cfg.valid_path_hops();
-
-    let contacts = std::mem::take(table.contacts_mut());
-    for mut contact in contacts {
+    let mut healed = Vec::new();
+    let mut route = Vec::new();
+    table.contacts_mut().retain_mut(|contact| {
         debug_assert_eq!(contact.source(), source, "foreign contact in table");
-        let mut msgs = 0u64;
-        let (healed, recovered) = validate_path(net, cfg, &contact.path, &mut msgs, allowed);
-        report.validation_msgs += msgs;
-        if recovered {
-            report.recovered += 1;
-        }
-        match healed {
+        let path = &mut contact.path;
+        let broken = path
+            .windows(2)
+            .position(|w| !(net.is_link(w[0], w[1]) && allowed(w[0], w[1])));
+        match broken {
             None => {
-                report.lost += 1;
+                // Intact: the message walks every stored hop.
+                report.validation_msgs += path.len() as u64 - 1;
+                compress_loops(path);
             }
-            Some(path) => {
-                let hops = (path.len() - 1) as u16;
-                if hops < min_hops || hops > max_hops {
-                    // Rule 4: contact drifted too close or too far.
-                    report.dropped_out_of_range += 1;
-                } else {
-                    // Ack travels back along the healed path.
-                    report.reply_msgs += hops as u64;
-                    report.validated += 1;
-                    contact.path = path;
-                    table.contacts_mut().push(contact);
+            Some(b) => {
+                let msgs = &mut report.validation_msgs;
+                let (salvaged, recovered) =
+                    heal_path(net, cfg, path, b, &mut healed, &mut route, msgs, allowed);
+                if recovered {
+                    report.recovered += 1;
                 }
+                if !salvaged {
+                    report.lost += 1;
+                    return false;
+                }
+                std::mem::swap(path, &mut healed);
             }
         }
-    }
+        let hops = (path.len() - 1) as u16;
+        if hops < min_hops || hops > max_hops {
+            // Rule 4: contact drifted too close or too far.
+            report.dropped_out_of_range += 1;
+            return false;
+        }
+        // Ack travels back along the healed path.
+        report.reply_msgs += hops as u64;
+        report.validated += 1;
+        true
+    });
 
     stats.record_n(at, MsgKind::Validation, report.validation_msgs);
     stats.record_n(at, MsgKind::ValidationReply, report.reply_msgs);
@@ -219,6 +240,95 @@ mod tests {
 
     fn mk_stats() -> MsgStats {
         MsgStats::new(sim_core::time::SimDuration::from_secs(2))
+    }
+
+    /// The per-path validation the intact-path fast path and the cursor
+    /// recovery replaced, kept as their reference: every path is copied
+    /// into fresh `healed`/`rest` vectors and walked with `rest.remove(0)`.
+    /// Returns the healed path (`None` ⇒ lost) plus the recovery flag.
+    fn validate_path(
+        net: &Network,
+        cfg: &CardConfig,
+        path: &[NodeId],
+        msgs: &mut u64,
+        allowed: &dyn Fn(NodeId, NodeId) -> bool,
+    ) -> (Option<Vec<NodeId>>, bool) {
+        let mut healed: Vec<NodeId> = vec![path[0]];
+        let mut rest: Vec<NodeId> = path[1..].to_vec();
+        let mut used_recovery = false;
+
+        'outer: while !rest.is_empty() {
+            let cur = *healed.last().unwrap();
+            let next = rest[0];
+            if net.is_link(cur, next) && allowed(cur, next) {
+                *msgs += 1;
+                healed.push(next);
+                rest.remove(0);
+                continue;
+            }
+            if cfg.local_recovery {
+                for (k, &candidate) in rest.iter().enumerate() {
+                    if candidate == cur {
+                        rest.drain(..=k);
+                        used_recovery = true;
+                        continue 'outer;
+                    }
+                    if let Some(route) = net.tables().of(cur).path_to(candidate) {
+                        if !route.windows(2).all(|w| allowed(w[0], w[1])) {
+                            continue;
+                        }
+                        *msgs += route.len() as u64 - 1;
+                        healed.extend_from_slice(&route[1..]);
+                        rest.drain(..=k);
+                        used_recovery = true;
+                        continue 'outer;
+                    }
+                }
+            }
+            return (None, used_recovery);
+        }
+
+        compress_loops(&mut healed);
+        (Some(healed), used_recovery)
+    }
+
+    /// [`validate_contacts_filtered`] as it was built on
+    /// [`validate_path`]: contacts taken out of the table and pushed back
+    /// in order as they survive.
+    fn validate_contacts_reference(
+        net: &Network,
+        cfg: &CardConfig,
+        table: &mut ContactTable,
+        stats: &mut MsgStats,
+        allowed: &dyn Fn(NodeId, NodeId) -> bool,
+    ) -> ValidationReport {
+        let mut report = ValidationReport::default();
+        let (min_hops, max_hops) = cfg.valid_path_hops();
+        for mut contact in std::mem::take(table.contacts_mut()) {
+            let mut msgs = 0u64;
+            let (healed, recovered) = validate_path(net, cfg, &contact.path, &mut msgs, allowed);
+            report.validation_msgs += msgs;
+            if recovered {
+                report.recovered += 1;
+            }
+            match healed {
+                None => report.lost += 1,
+                Some(path) => {
+                    let hops = (path.len() - 1) as u16;
+                    if hops < min_hops || hops > max_hops {
+                        report.dropped_out_of_range += 1;
+                    } else {
+                        report.reply_msgs += hops as u64;
+                        report.validated += 1;
+                        contact.path = path;
+                        table.contacts_mut().push(contact);
+                    }
+                }
+            }
+        }
+        stats.record_n(SimTime::ZERO, MsgKind::Validation, report.validation_msgs);
+        stats.record_n(SimTime::ZERO, MsgKind::ValidationReply, report.reply_msgs);
+        report
     }
 
     #[test]
@@ -452,6 +562,69 @@ mod tests {
                         for &p in &c.path {
                             prop_assert!(seen.insert(p), "loop at {p} in healed path");
                         }
+                    }
+                }
+            }
+
+            /// The intact-path fast path plus cursor recovery equals the
+            /// reference `validate_path` on random paths — intact walks,
+            /// walks with broken hops, loops, and random node sequences —
+            /// with hops vetoed by `allowed` or not, and local recovery on
+            /// and off: the surviving contacts with their healed paths, the
+            /// `ValidationReport` and the recorded messages all match.
+            #[test]
+            fn prop_fast_validation_matches_reference(
+                seed in 0u64..10_000,
+                radius in 1u16..4,
+                n in 40usize..120,
+                recovery in any::<bool>(),
+                veto in 0usize..3,
+            ) {
+                use sim_core::rng::RngStream;
+
+                let scenario = Scenario::new(n, 300.0, 300.0, 55.0);
+                let mut config = cfg(radius, 2 * radius + 6);
+                config.local_recovery = recovery;
+                let net = Network::from_scenario(&scenario, radius, seed);
+                let mut rng = RngStream::seed_from_u64(seed);
+                let down: Vec<bool> = (0..n).map(|_| rng.index(10) < veto).collect();
+                let allowed = |a: NodeId, b: NodeId| !down[a.index()] && !down[b.index()];
+                let pass_all = |_: NodeId, _: NodeId| true;
+                for source in (0..n).step_by(7).map(NodeId::from) {
+                    let mut table = ContactTable::new();
+                    for k in 0..8 {
+                        // A random walk from the source; later kinds
+                        // corrupt it with random hops or loop it back.
+                        let len = 2 + rng.index(2 * radius as usize + 8);
+                        let mut path = vec![source];
+                        while path.len() < len {
+                            let cur = *path.last().unwrap();
+                            let nb = net.adj().neighbors(cur);
+                            let next = match k % 4 {
+                                _ if nb.is_empty() => NodeId::from(rng.index(n)),
+                                1 if rng.index(4) == 0 => NodeId::from(rng.index(n)),
+                                2 if rng.index(5) == 0 => path[rng.index(path.len())],
+                                3 => NodeId::from(rng.index(n)),
+                                _ => nb[rng.index(nb.len())],
+                            };
+                            path.push(next);
+                        }
+                        let id = *path.last().unwrap();
+                        if path.len() >= 2 && !table.contains(id) {
+                            table.add(Contact::new(id, path));
+                        }
+                    }
+                    for filter in [&allowed as &dyn Fn(NodeId, NodeId) -> bool, &pass_all] {
+                        let mut got = table.clone();
+                        let mut want = table.clone();
+                        let (mut st, mut ref_st) = (mk_stats(), mk_stats());
+                        let report = validate_contacts_filtered(
+                            &net, &config, source, &mut got, &mut st, SimTime::ZERO, filter);
+                        let ref_report =
+                            validate_contacts_reference(&net, &config, &mut want, &mut ref_st, filter);
+                        prop_assert_eq!(got.contacts(), want.contacts());
+                        prop_assert_eq!(report, ref_report);
+                        prop_assert_eq!(format!("{st:?}"), format!("{ref_st:?}"));
                     }
                 }
             }

@@ -37,7 +37,28 @@
 //!   randomness, so outcomes are a pure function of `(network, tables,
 //!   pair)` and the sweep is bit-identical to its serial reference at any
 //!   worker or shard count.
+//!
+//! ## The target-zone stamp
+//!
+//! Every contact a DSQ walk visits answers "is the target in my zone?".
+//! Asking each contact's neighborhood table means a Bloom probe plus a
+//! binary search in another node's arrays: two cache misses per visit,
+//! for ~84 visits on a missed depth-3 query. Zones are R-hop BFS balls
+//! over one undirected adjacency, so membership is symmetric: Y ∈ zone(X)
+//! ⇔ X ∈ zone(Y). Each query therefore stamps the *target's* zone once
+//! into an epoch-stamped per-node array of its scratch (the same shape as
+//! the *seen* marks; zeroed when the epoch wraps), and the answer test
+//! becomes one array read: `zone[c] == epoch`, plus the fault filter's
+//! `edge_ok(c, target)` under faults. Every DSQ entry point, its depth-0
+//! shortcut and `CardWorld`'s standing resolution take the test from one
+//! helper, `QueryScratch::with_target_zone`; debug builds cross-check
+//! each stamped answer against the neighborhood table. [`dsq_query_rewalk`]
+//! and the plane-routed sweep keep asking the tables, so they stay
+//! independent references.
 
+use std::collections::HashMap;
+
+use manet_routing::neighborhood::NeighborhoodTables;
 use manet_routing::network::Network;
 use net_topology::node::NodeId;
 use sim_core::stats::{MsgKind, MsgStats};
@@ -66,6 +87,14 @@ impl QueryOutcome {
     }
 }
 
+/// The outcome of a query the source answers from its own zone.
+const ANSWERED_LOCALLY: QueryOutcome = QueryOutcome {
+    found: true,
+    depth_used: 0,
+    query_msgs: 0,
+    reply_msgs: 0,
+};
+
 /// Reusable query-walk workspace: persistent *seen* marks (epoch-stamped)
 /// and frontier buffers, plus the incremental-escalation cache (deepest
 /// frontier, cumulative walk cost). One scratch serves any number of
@@ -92,6 +121,54 @@ pub struct QueryScratch {
     /// query reconstruct the source → answer contact chain so route hints
     /// can be deposited along it (§V; see [`crate::hints`]).
     parent: Vec<NodeId>,
+    /// The current query's target-zone stamp (see the module docs).
+    zone: TargetZone,
+}
+
+/// The members of one target's zone, stamped with a per-query epoch: the
+/// O(1) answer test of the DSQ walk (see the module docs).
+#[derive(Clone, Debug, Default)]
+pub(crate) struct TargetZone {
+    /// `stamp[v] == epoch` ⇔ v is within R hops of `target`.
+    stamp: Vec<u32>,
+    /// Stamp of the current query.
+    epoch: u32,
+    /// The target whose zone is stamped.
+    target: NodeId,
+}
+
+impl TargetZone {
+    /// Stamp the members of `target`'s zone under a fresh epoch.
+    fn stamp(&mut self, tables: &NeighborhoodTables, target: NodeId) {
+        let n = tables.node_count();
+        if self.stamp.len() < n {
+            self.stamp.resize(n, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Epoch counter wrapped: invalidate every stale stamp once.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+        self.target = target;
+        for m in tables.of(target).members() {
+            self.stamp[m.index()] = self.epoch;
+        }
+    }
+
+    /// Does `c`'s zone hold the target? Exact by zone symmetry; debug
+    /// builds confirm every answer against `c`'s neighborhood table.
+    #[inline]
+    pub(crate) fn holds(&self, tables: &NeighborhoodTables, c: NodeId) -> bool {
+        let hit = self.stamp[c.index()] == self.epoch;
+        debug_assert_eq!(
+            hit,
+            tables.of(c).contains(self.target),
+            "target-zone stamp of {} disagrees at {c}",
+            self.target
+        );
+        hit
+    }
 }
 
 impl QueryScratch {
@@ -100,13 +177,31 @@ impl QueryScratch {
         Self::default()
     }
 
-    /// A workspace pre-sized for networks of `n` nodes.
+    /// A workspace pre-sized for networks of `n` nodes: every per-node
+    /// array is allocated up front, so no query allocates.
     pub fn with_capacity(n: usize) -> Self {
         let mut s = Self::default();
-        if s.mark.len() < n {
-            s.mark.resize(n, 0);
-        }
+        s.mark.resize(n, 0);
+        s.parent.resize(n, NodeId::new(u32::MAX));
+        s.zone.stamp.resize(n, 0);
         s
+    }
+
+    /// Stamp `target`'s zone and run `walk` with the stamp beside the
+    /// scratch. The stamp is moved out for the walk's duration (a pointer
+    /// swap, no allocation), so `walk` can drive the escalation on the
+    /// scratch while its answer predicate reads the stamp.
+    pub(crate) fn with_target_zone<R>(
+        &mut self,
+        tables: &NeighborhoodTables,
+        target: NodeId,
+        walk: impl FnOnce(&mut Self, &TargetZone) -> R,
+    ) -> R {
+        let mut zone = std::mem::take(&mut self.zone);
+        zone.stamp(tables, target);
+        let out = walk(self, &zone);
+        self.zone = zone;
+        out
     }
 
     /// Open a new walk from `source` over a network of `n` nodes: bump the
@@ -329,22 +424,19 @@ pub(crate) fn dsq_query_unrecorded<T: TableSource>(
     scratch: &mut QueryScratch,
 ) -> QueryOutcome {
     let tables = net.tables();
-    if tables.of(source).contains(target) {
-        return QueryOutcome {
-            found: true,
-            depth_used: 0,
-            query_msgs: 0,
-            reply_msgs: 0,
-        };
-    }
-    escalate_unrecorded(
-        net.node_count(),
-        contact_tables,
-        source,
-        max_depth,
-        scratch,
-        |c| tables.of(c).contains(target),
-    )
+    scratch.with_target_zone(tables, target, |scratch, zone| {
+        if zone.holds(tables, source) {
+            return ANSWERED_LOCALLY;
+        }
+        escalate_unrecorded(
+            net.node_count(),
+            contact_tables,
+            source,
+            max_depth,
+            scratch,
+            |c| zone.holds(tables, c),
+        )
+    })
 }
 
 /// Run a full CARD query from `source` for `target`, escalating the depth
@@ -649,24 +741,21 @@ pub(crate) fn dsq_query_hinted_unrecorded<T: TableSource, S: HintLookup>(
     scratch: &mut QueryScratch,
 ) -> QueryOutcome {
     let tables = net.tables();
-    if tables.of(source).contains(target) {
-        return QueryOutcome {
-            found: true,
-            depth_used: 0,
-            query_msgs: 0,
-            reply_msgs: 0,
-        };
-    }
-    escalate_hinted_unrecorded(
-        net.node_count(),
-        contact_tables,
-        ctx,
-        HintKey::node(target),
-        source,
-        max_depth,
-        scratch,
-        |c| tables.of(c).contains(target),
-    )
+    scratch.with_target_zone(tables, target, |scratch, zone| {
+        if zone.holds(tables, source) {
+            return ANSWERED_LOCALLY;
+        }
+        escalate_hinted_unrecorded(
+            net.node_count(),
+            contact_tables,
+            ctx,
+            HintKey::node(target),
+            source,
+            max_depth,
+            scratch,
+            |c| zone.holds(tables, c),
+        )
+    })
 }
 
 /// [`dsq_query`] with the §V route-hint cache consulted first and hint
@@ -771,23 +860,20 @@ pub(crate) fn dsq_query_faulted_unrecorded<T: TableSource>(
     filter: &QueryFaultFilter<'_>,
 ) -> QueryOutcome {
     let tables = net.tables();
-    if tables.of(source).contains(target) && filter.edge_ok(source, target) {
-        return QueryOutcome {
-            found: true,
-            depth_used: 0,
-            query_msgs: 0,
-            reply_msgs: 0,
-        };
-    }
-    escalate_faulted_unrecorded(
-        net.node_count(),
-        contact_tables,
-        source,
-        max_depth,
-        scratch,
-        filter,
-        |c| tables.of(c).contains(target) && filter.edge_ok(c, target),
-    )
+    scratch.with_target_zone(tables, target, |scratch, zone| {
+        if zone.holds(tables, source) && filter.edge_ok(source, target) {
+            return ANSWERED_LOCALLY;
+        }
+        escalate_faulted_unrecorded(
+            net.node_count(),
+            contact_tables,
+            source,
+            max_depth,
+            scratch,
+            filter,
+            |c| zone.holds(tables, c) && filter.edge_ok(c, target),
+        )
+    })
 }
 
 /// [`chase`] under a fault filter: a hint whose next hop is crashed or
@@ -1003,25 +1089,22 @@ pub(crate) fn dsq_query_hinted_faulted_unrecorded<T: TableSource, S: HintLookup>
     filter: &QueryFaultFilter<'_>,
 ) -> QueryOutcome {
     let tables = net.tables();
-    if tables.of(source).contains(target) && filter.edge_ok(source, target) {
-        return QueryOutcome {
-            found: true,
-            depth_used: 0,
-            query_msgs: 0,
-            reply_msgs: 0,
-        };
-    }
-    escalate_hinted_faulted_unrecorded(
-        net.node_count(),
-        contact_tables,
-        ctx,
-        HintKey::node(target),
-        source,
-        max_depth,
-        scratch,
-        filter,
-        |c| tables.of(c).contains(target) && filter.edge_ok(c, target),
-    )
+    scratch.with_target_zone(tables, target, |scratch, zone| {
+        if zone.holds(tables, source) && filter.edge_ok(source, target) {
+            return ANSWERED_LOCALLY;
+        }
+        escalate_hinted_faulted_unrecorded(
+            net.node_count(),
+            contact_tables,
+            ctx,
+            HintKey::node(target),
+            source,
+            max_depth,
+            scratch,
+            filter,
+            |c| zone.holds(tables, c) && filter.edge_ok(c, target),
+        )
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1056,9 +1139,16 @@ struct RetryEntry {
 /// validation-round lattice, so retry timing — like everything else in the
 /// fault plane — is identical between tick and event drivers and across
 /// shard counts.
+///
+/// Every operation is O(1) per entry it touches: `schedule` deduplicates
+/// through a count of queued entries per pair, and `tick` is one
+/// order-preserving pass over the queue.
 #[derive(Clone, Debug)]
 pub struct QueryRetryQueue {
     entries: Vec<RetryEntry>,
+    /// Entries per `(source, target)` pair; only pairs with a queued entry
+    /// are present.
+    queued: HashMap<(NodeId, NodeId), u32>,
     cap: u32,
     stats: RetryStats,
 }
@@ -1068,6 +1158,7 @@ impl QueryRetryQueue {
     pub fn new(cap: u32) -> Self {
         QueryRetryQueue {
             entries: Vec::new(),
+            queued: HashMap::new(),
             cap,
             stats: RetryStats::default(),
         }
@@ -1092,16 +1183,10 @@ impl QueryRetryQueue {
     /// the next round). A `(source, target)` pair already queued is not
     /// queued twice.
     pub fn schedule(&mut self, source: NodeId, target: NodeId) {
-        if self.cap == 0 {
+        if self.cap == 0 || self.queued.contains_key(&(source, target)) {
             return;
         }
-        if self
-            .entries
-            .iter()
-            .any(|e| e.source == source && e.target == target)
-        {
-            return;
-        }
+        self.queued.insert((source, target), 1);
         self.stats.scheduled += 1;
         self.entries.push(RetryEntry {
             source,
@@ -1117,16 +1202,21 @@ impl QueryRetryQueue {
     /// outcome back through [`report`](Self::report).
     pub fn tick(&mut self, due: &mut Vec<(NodeId, NodeId, u32)>) {
         due.clear();
-        let mut i = 0;
-        while i < self.entries.len() {
-            self.entries[i].wait -= 1;
-            if self.entries[i].wait == 0 {
-                let e = self.entries.remove(i);
-                due.push((e.source, e.target, e.attempt));
-            } else {
-                i += 1;
+        let queued = &mut self.queued;
+        self.entries.retain_mut(|e| {
+            e.wait -= 1;
+            if e.wait > 0 {
+                return true;
             }
-        }
+            let key = (e.source, e.target);
+            let count = queued.get_mut(&key).expect("queued entry is counted");
+            *count -= 1;
+            if *count == 0 {
+                queued.remove(&key);
+            }
+            due.push((e.source, e.target, e.attempt));
+            false
+        });
     }
 
     /// Record the outcome of a due retry: a hit counts as recovered; a
@@ -1138,6 +1228,7 @@ impl QueryRetryQueue {
         } else if attempt >= self.cap {
             self.stats.abandoned += 1;
         } else {
+            *self.queued.entry((source, target)).or_insert(0) += 1;
             self.entries.push(RetryEntry {
                 source,
                 target,
@@ -1214,12 +1305,7 @@ pub fn dsq_query_rewalk<T: TableSource>(
     at: SimTime,
 ) -> QueryOutcome {
     if net.tables().of(source).contains(target) {
-        return QueryOutcome {
-            found: true,
-            depth_used: 0,
-            query_msgs: 0,
-            reply_msgs: 0,
-        };
+        return ANSWERED_LOCALLY;
     }
 
     let mut query_msgs = 0u64;
@@ -1630,6 +1716,390 @@ mod tests {
                     st_ref.series_where(|_| true),
                     "stats series diverged for target {target} depth {max_depth}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn zone_stamp_epoch_wrap() {
+        // The first query stamps target 2's zone with epoch 1. Forcing the
+        // epoch to the wrap point makes the next query reuse epoch 1, so
+        // the stale stamps must be wiped first or nodes 0..=4 would still
+        // "hold" target 13.
+        let net = line_net();
+        let tables = net.tables();
+        let mut scratch = QueryScratch::new();
+        scratch.with_target_zone(tables, n(2), |_, zone| {
+            assert_eq!(zone.epoch, 1);
+            assert!(zone.holds(tables, n(0)));
+        });
+        scratch.zone.epoch = u32::MAX;
+        scratch.with_target_zone(tables, n(13), |_, zone| {
+            assert_eq!(zone.epoch, 1);
+            for c in (0..16).map(n) {
+                let want = tables.of(c).contains(n(13));
+                assert_eq!(zone.stamp[c.index()] == zone.epoch, want, "node {c}");
+            }
+        });
+    }
+
+    #[test]
+    fn with_capacity_presizes_every_per_node_array() {
+        let s = QueryScratch::with_capacity(40);
+        assert_eq!(s.mark.len(), 40);
+        assert_eq!(s.parent.len(), 40);
+        assert_eq!(s.zone.stamp.len(), 40);
+    }
+
+    /// The linear-scan retry queue the counted queue replaced, kept as its
+    /// reference: `schedule` scans `entries` for the pair, and `tick`
+    /// removes due entries one `Vec::remove` at a time.
+    struct LinearRetryQueue {
+        entries: Vec<RetryEntry>,
+        cap: u32,
+        stats: RetryStats,
+    }
+
+    impl LinearRetryQueue {
+        fn new(cap: u32) -> Self {
+            LinearRetryQueue {
+                entries: Vec::new(),
+                cap,
+                stats: RetryStats::default(),
+            }
+        }
+
+        fn schedule(&mut self, source: NodeId, target: NodeId) {
+            if self.cap == 0 {
+                return;
+            }
+            if self
+                .entries
+                .iter()
+                .any(|e| e.source == source && e.target == target)
+            {
+                return;
+            }
+            self.stats.scheduled += 1;
+            self.entries.push(RetryEntry {
+                source,
+                target,
+                attempt: 1,
+                wait: 1,
+            });
+        }
+
+        fn tick(&mut self, due: &mut Vec<(NodeId, NodeId, u32)>) {
+            due.clear();
+            let mut i = 0;
+            while i < self.entries.len() {
+                self.entries[i].wait -= 1;
+                if self.entries[i].wait == 0 {
+                    let e = self.entries.remove(i);
+                    due.push((e.source, e.target, e.attempt));
+                } else {
+                    i += 1;
+                }
+            }
+        }
+
+        fn report(&mut self, source: NodeId, target: NodeId, attempt: u32, found: bool) {
+            self.stats.retried += 1;
+            if found {
+                self.stats.recovered += 1;
+            } else if attempt >= self.cap {
+                self.stats.abandoned += 1;
+            } else {
+                self.entries.push(RetryEntry {
+                    source,
+                    target,
+                    attempt: attempt + 1,
+                    wait: 1 << attempt.min(3),
+                });
+            }
+        }
+    }
+
+    mod properties {
+        use super::*;
+        use crate::config::CardConfig;
+        use crate::csq::{select_contacts, CsqScratch, ALL_EDGE_NODES};
+        use crate::hints::HintStore;
+        use mobility::walk::RandomWalk;
+        use net_topology::scenario::Scenario;
+        use proptest::prelude::*;
+        use sim_core::rng::SeedSplitter;
+
+        /// The DSQ entry points with the answer test they had before the
+        /// target-zone stamp: every visited contact asks its own
+        /// neighborhood table.
+        mod reference {
+            use super::super::super::*;
+            use crate::contact::ContactTable;
+
+            pub(super) fn dsq_query_unrecorded(
+                net: &Network,
+                contact_tables: &[ContactTable],
+                source: NodeId,
+                target: NodeId,
+                max_depth: u16,
+                scratch: &mut QueryScratch,
+            ) -> QueryOutcome {
+                let tables = net.tables();
+                if tables.of(source).contains(target) {
+                    return ANSWERED_LOCALLY;
+                }
+                escalate_unrecorded(
+                    net.node_count(),
+                    contact_tables,
+                    source,
+                    max_depth,
+                    scratch,
+                    |c| tables.of(c).contains(target),
+                )
+            }
+
+            pub(super) fn dsq_query_hinted_unrecorded(
+                net: &Network,
+                contact_tables: &[ContactTable],
+                ctx: &mut HintContext<'_>,
+                source: NodeId,
+                target: NodeId,
+                max_depth: u16,
+                scratch: &mut QueryScratch,
+            ) -> QueryOutcome {
+                let tables = net.tables();
+                if tables.of(source).contains(target) {
+                    return ANSWERED_LOCALLY;
+                }
+                escalate_hinted_unrecorded(
+                    net.node_count(),
+                    contact_tables,
+                    ctx,
+                    HintKey::node(target),
+                    source,
+                    max_depth,
+                    scratch,
+                    |c| tables.of(c).contains(target),
+                )
+            }
+
+            pub(super) fn dsq_query_faulted_unrecorded(
+                net: &Network,
+                contact_tables: &[ContactTable],
+                source: NodeId,
+                target: NodeId,
+                max_depth: u16,
+                scratch: &mut QueryScratch,
+                filter: &QueryFaultFilter<'_>,
+            ) -> QueryOutcome {
+                let tables = net.tables();
+                if tables.of(source).contains(target) && filter.edge_ok(source, target) {
+                    return ANSWERED_LOCALLY;
+                }
+                escalate_faulted_unrecorded(
+                    net.node_count(),
+                    contact_tables,
+                    source,
+                    max_depth,
+                    scratch,
+                    filter,
+                    |c| tables.of(c).contains(target) && filter.edge_ok(c, target),
+                )
+            }
+
+            #[allow(clippy::too_many_arguments)]
+            pub(super) fn dsq_query_hinted_faulted_unrecorded(
+                net: &Network,
+                contact_tables: &[ContactTable],
+                ctx: &mut HintContext<'_>,
+                source: NodeId,
+                target: NodeId,
+                max_depth: u16,
+                scratch: &mut QueryScratch,
+                filter: &QueryFaultFilter<'_>,
+            ) -> QueryOutcome {
+                let tables = net.tables();
+                if tables.of(source).contains(target) && filter.edge_ok(source, target) {
+                    return ANSWERED_LOCALLY;
+                }
+                escalate_hinted_faulted_unrecorded(
+                    net.node_count(),
+                    contact_tables,
+                    ctx,
+                    HintKey::node(target),
+                    source,
+                    max_depth,
+                    scratch,
+                    filter,
+                    |c| tables.of(c).contains(target) && filter.edge_ok(c, target),
+                )
+            }
+        }
+
+        /// A hinted query's observable results: outcome, counters and
+        /// queued deposits.
+        type Hinted = (QueryOutcome, HintStats, Vec<HintDeposit>);
+
+        fn hinted(
+            store: &HintStore,
+            run: impl FnOnce(&mut HintContext<'_>) -> QueryOutcome,
+        ) -> Hinted {
+            let mut stats = HintStats::default();
+            let mut deposits = Vec::new();
+            let mut ctx = HintContext {
+                store,
+                stats: &mut stats,
+                deposits: &mut deposits,
+            };
+            let out = run(&mut ctx);
+            (out, stats, deposits)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            /// The stamped answer test equals the neighborhood-table test
+            /// on all four DSQ entry points: outcomes, `MsgStats`,
+            /// `HintStats` and hint deposits — on random networks, with
+            /// and without crashed nodes and a partition, across
+            /// incremental topology refreshes, with one scratch reused
+            /// throughout.
+            #[test]
+            fn prop_zone_stamp_matches_contains_reference(
+                seed in 0u64..10_000,
+                radius in 1u16..4,
+                n in 60usize..160,
+                depth in 1u16..5,
+                crash_tenths in 0usize..3,
+            ) {
+                let scenario = Scenario::new(n, 420.0, 420.0, 55.0);
+                let cfg = CardConfig::default()
+                    .with_radius(radius)
+                    .with_max_contact_distance(2 * radius + 4)
+                    .with_target_contacts(4)
+                    .with_seed(seed);
+                let mut net = Network::from_scenario(&scenario, radius, seed);
+                let splitter = SeedSplitter::new(seed);
+                let mut csq = CsqScratch::new();
+                let mut sel_stats = mk_stats();
+                let tables: Vec<ContactTable> = (0..n)
+                    .map(|i| {
+                        let mut t = ContactTable::new();
+                        let mut rng = splitter.stream("sel", i as u64);
+                        select_contacts(
+                            &net, &cfg, NodeId::from(i), &mut t, &mut rng, &mut sel_stats,
+                            SimTime::ZERO, ALL_EDGE_NODES, &mut csq,
+                        );
+                        t
+                    })
+                    .collect();
+                let mut model = RandomWalk::new(
+                    n, scenario.field(), 2.0, 15.0, 1.0, splitter.stream("mob", 0));
+                let mut store = HintStore::new(n, 4, 8);
+                let mut rng = splitter.stream("pairs", 0);
+                let mut scratch = QueryScratch::new();
+                let mut ref_scratch = QueryScratch::new();
+                for tick in 0..3 {
+                    let down: Vec<bool> = (0..n).map(|_| rng.index(10) < crash_tenths).collect();
+                    let sides: Vec<u8> = (0..n).map(|_| rng.index(2) as u8).collect();
+                    let filter = QueryFaultFilter {
+                        down: &down,
+                        sides: (tick % 2 == 1).then_some(&sides[..]),
+                    };
+                    for _ in 0..40 {
+                        let s = NodeId::from(rng.index(n));
+                        let t = NodeId::from(rng.index(n));
+                        let (mut st, mut ref_st) = (mk_stats(), mk_stats());
+                        let got = dsq_query(
+                            &net, &tables[..], s, t, depth, &mut st, SimTime::ZERO, &mut scratch);
+                        let want = reference::dsq_query_unrecorded(
+                            &net, &tables, s, t, depth, &mut ref_scratch);
+                        ref_st.record_n(SimTime::ZERO, MsgKind::Dsq, want.query_msgs);
+                        ref_st.record_n(SimTime::ZERO, MsgKind::DsqReply, want.reply_msgs);
+                        prop_assert_eq!(&got, &want);
+                        prop_assert_eq!(format!("{st:?}"), format!("{ref_st:?}"));
+
+                        let got = dsq_query_faulted_unrecorded(
+                            &net, &tables[..], s, t, depth, &mut scratch, &filter);
+                        let want = reference::dsq_query_faulted_unrecorded(
+                            &net, &tables, s, t, depth, &mut ref_scratch, &filter);
+                        prop_assert_eq!(got, want);
+
+                        let got = hinted(&store, |ctx| {
+                            dsq_query_hinted_unrecorded(
+                                &net, &tables[..], ctx, s, t, depth, &mut scratch)
+                        });
+                        let want = hinted(&store, |ctx| {
+                            reference::dsq_query_hinted_unrecorded(
+                                &net, &tables, ctx, s, t, depth, &mut ref_scratch)
+                        });
+                        prop_assert_eq!(&got, &want);
+                        for d in &got.2 {
+                            store.deposit(d.holder, d.key, d.next_hop, d.depth);
+                        }
+
+                        let got = hinted(&store, |ctx| {
+                            dsq_query_hinted_faulted_unrecorded(
+                                &net, &tables[..], ctx, s, t, depth, &mut scratch, &filter)
+                        });
+                        let want = hinted(&store, |ctx| {
+                            reference::dsq_query_hinted_faulted_unrecorded(
+                                &net, &tables, ctx, s, t, depth, &mut ref_scratch, &filter)
+                        });
+                        prop_assert_eq!(&got, &want);
+                        for d in &got.2 {
+                            store.deposit(d.holder, d.key, d.next_hop, d.depth);
+                        }
+                    }
+                    net.advance(&mut model, SimDuration::from_secs(1));
+                    store.advance_epoch();
+                }
+            }
+
+            /// The counted retry queue equals the linear reference on
+            /// random interleavings of `schedule`, `tick` and `report`:
+            /// every `due` sequence, `len()` and the counters. Due entries
+            /// are reported in any order, some only after later ticks, and
+            /// pairs are re-scheduled while a retry of them is due but not
+            /// yet reported.
+            #[test]
+            fn prop_retry_queue_matches_linear_reference(
+                cap in 0u32..5,
+                ops in collection::vec(((0u32..5, any::<bool>()), 0u32..4, 0u32..4), 1..200),
+            ) {
+                let mut q = QueryRetryQueue::new(cap);
+                let mut lin = LinearRetryQueue::new(cap);
+                let (mut due, mut lin_due) = (Vec::new(), Vec::new());
+                let mut pending: Vec<(NodeId, NodeId, u32)> = Vec::new();
+                for ((kind, found), a, b) in ops {
+                    match kind {
+                        0 | 1 => {
+                            q.schedule(n(a), n(b));
+                            lin.schedule(n(a), n(b));
+                        }
+                        2 => {
+                            q.tick(&mut due);
+                            lin.tick(&mut lin_due);
+                            prop_assert_eq!(&due, &lin_due);
+                            pending.extend_from_slice(&due);
+                        }
+                        3 if !pending.is_empty() => {
+                            let (s, t, attempt) =
+                                pending.remove((a as usize * 4 + b as usize) % pending.len());
+                            q.report(s, t, attempt, found);
+                            lin.report(s, t, attempt, found);
+                        }
+                        4 if !pending.is_empty() => {
+                            let (s, t, _) = pending[(a as usize) % pending.len()];
+                            q.schedule(s, t);
+                            lin.schedule(s, t);
+                        }
+                        _ => {}
+                    }
+                    prop_assert_eq!(q.len(), lin.entries.len());
+                    prop_assert_eq!(q.stats(), &lin.stats);
+                }
             }
         }
     }

@@ -120,7 +120,7 @@ use sim_core::stats::{MsgKind, MsgStats, TimeSeries};
 use sim_core::time::{SimDuration, SimTime};
 
 use crate::config::CardConfig;
-use crate::contact::{ContactTable, TableSource};
+use crate::contact::{Contact, ContactTable, TableSource};
 use crate::csq::{select_contacts, CsqScratch, ALL_EDGE_NODES};
 use crate::hints::{HintDeposit, HintLookup, HintStats, HintStore, Lookup};
 use crate::maintenance::{
@@ -1329,8 +1329,7 @@ impl CardWorld {
             liveness_violations: 0,
         };
         let allowed = |a: NodeId, b: NodeId| state.link_allowed(a.index(), b.index());
-        let mut ids: Vec<NodeId> = Vec::new();
-        let mut held: Vec<crate::contact::Contact> = Vec::new();
+        let mut held: Vec<Contact> = Vec::new();
         for k in 0..shard.contacts.len() {
             let node = NodeId::from(shard.start + k);
             if state.is_down(node.index()) {
@@ -1342,60 +1341,50 @@ impl CardWorld {
             for c in table.contacts() {
                 delta.crossings += path_shard_crossings(&c.path, per);
             }
-            // Confirmed-dead contacts: tombstoned up front so neither
-            // validation nor this round's re-selection resurrects them.
-            ids.clear();
-            ids.extend(table.contacts().iter().map(|c| c.id));
-            for &c in &ids {
+            // One pass over the contacts, taken out of the table so its
+            // tombstone and retry records stay writable:
+            // - a confirmed-dead contact is tombstoned up front, so neither
+            //   validation nor this round's re-selection resurrects it;
+            // - a contact mid-window skips this round's probe and is held
+            //   out;
+            // - a probe the plan loses goes unacked: its hops are still
+            //   charged, the window doubles, and past the cap the contact
+            //   is dropped.
+            held.clear();
+            let mut contacts = std::mem::take(table.contacts_mut());
+            contacts.retain_mut(|entry| {
+                let c = entry.id;
                 if state.is_down(c.index()) {
                     table.tombstone(c, cfg.tombstone_ttl);
                     delta.maintenance.lost += 1;
+                    return false;
                 }
-            }
-            // Retry windows: a contact mid-window skips this round's
-            // probe; a probe the plan loses goes unacked — its hops are
-            // still charged, the window doubles, and past the cap the
-            // contact is dropped.
-            ids.clear();
-            ids.extend(table.contacts().iter().map(|c| c.id));
-            held.clear();
-            for &c in &ids {
-                if table.retry_skip(c) {
-                    let cs = table.contacts_mut();
-                    let pos = cs
-                        .iter()
-                        .position(|x| x.id == c)
-                        .expect("retrying contact present");
-                    held.push(cs.remove(pos));
-                    continue;
+                if !table.retry_skip(c) {
+                    if !plan.validation_lost(node.index() as u32, c.index() as u32, round) {
+                        return true;
+                    }
+                    delta
+                        .stats
+                        .record_n(at, MsgKind::Validation, entry.hops() as u64);
+                    if table.note_unacked(c) > cfg.validation_retry_cap {
+                        table.clear_retry(c);
+                        delta.maintenance.lost += 1;
+                        return false;
+                    }
                 }
-                if !plan.validation_lost(node.index() as u32, c.index() as u32, round) {
-                    continue;
-                }
-                let cs = table.contacts_mut();
-                let pos = cs
-                    .iter()
-                    .position(|x| x.id == c)
-                    .expect("probed contact present");
-                let entry = cs.remove(pos);
-                delta
-                    .stats
-                    .record_n(at, MsgKind::Validation, entry.hops() as u64);
-                let level = table.note_unacked(c);
-                if level > cfg.validation_retry_cap {
-                    table.clear_retry(c);
-                    delta.maintenance.lost += 1;
-                } else {
-                    held.push(entry);
-                }
-            }
+                held.push(Contact {
+                    id: c,
+                    path: std::mem::take(&mut entry.path),
+                });
+                false
+            });
+            *table.contacts_mut() = contacts;
             let report =
                 validate_contacts_filtered(net, cfg, node, table, &mut delta.stats, at, &allowed);
             delta.maintenance.absorb(&report);
             // An acked validation resets the contact's retry state.
-            ids.clear();
-            ids.extend(table.contacts().iter().map(|c| c.id));
-            for &c in &ids {
+            for i in 0..table.len() {
+                let c = table.contacts()[i].id;
                 table.clear_retry(c);
             }
             // Re-admit the held-out contacts, windows intact.
@@ -2444,12 +2433,6 @@ impl CardWorld {
             }
         }
         let tables = net.tables();
-        if tables.of(source).contains(target)
-            && filter.as_ref().is_none_or(|f| f.edge_ok(source, target))
-        {
-            standing.set_resolved(id, vec![source], *now, initial);
-            return;
-        }
         let view = TablesView {
             shards: &*shards,
             per,
@@ -2457,21 +2440,30 @@ impl CardWorld {
         };
         let scratch = &mut query_scratch[0];
         let mut answer = None;
-        let out = match &filter {
-            Some(f) => escalate_faulted_unrecorded(n, view, source, cfg.depth, scratch, f, |c| {
-                let hit = tables.of(c).contains(target) && f.edge_ok(c, target);
+        let walked = scratch.with_target_zone(tables, target, |scratch, zone| {
+            let answers = |c: NodeId| {
+                zone.holds(tables, c) && filter.as_ref().is_none_or(|f| f.edge_ok(c, target))
+            };
+            if answers(source) {
+                return None;
+            }
+            let record = |c: NodeId| {
+                let hit = answers(c);
                 if hit {
                     answer = Some(c);
                 }
                 hit
-            }),
-            None => escalate_unrecorded(n, view, source, cfg.depth, scratch, |c| {
-                let hit = tables.of(c).contains(target);
-                if hit {
-                    answer = Some(c);
+            };
+            Some(match &filter {
+                Some(f) => {
+                    escalate_faulted_unrecorded(n, view, source, cfg.depth, scratch, f, record)
                 }
-                hit
-            }),
+                None => escalate_unrecorded(n, view, source, cfg.depth, scratch, record),
+            })
+        });
+        let Some(out) = walked else {
+            standing.set_resolved(id, vec![source], *now, initial);
+            return;
         };
         stats.record_n(*now, MsgKind::StandingDsq, out.query_msgs);
         stats.record_n(*now, MsgKind::StandingReply, out.reply_msgs);
@@ -3329,5 +3321,113 @@ mod tests {
         );
         w.reset_plane_stats();
         assert_eq!(w.plane_stats().sent, 0);
+    }
+
+    /// [`CardWorld::standing_resolve`]'s walk with the answer test it had
+    /// before the target-zone stamp (every visited contact asks its own
+    /// neighborhood table), on a fresh scratch: the resolved chain, or
+    /// `None`, plus the `StandingDsq`/`StandingReply` message counts.
+    fn standing_reference(
+        w: &CardWorld,
+        source: NodeId,
+        target: NodeId,
+    ) -> (Option<Vec<NodeId>>, u64, u64) {
+        let tables = w.net.tables();
+        let filter = w.faults.as_ref().map(|rt| QueryFaultFilter {
+            down: rt.state.down_mask(),
+            sides: rt.state.sides(),
+        });
+        if let Some(f) = &filter {
+            if f.down[source.index()] || f.down[target.index()] {
+                return (None, 0, 0);
+            }
+        }
+        let answers = |c: NodeId| {
+            tables.of(c).contains(target) && filter.as_ref().is_none_or(|f| f.edge_ok(c, target))
+        };
+        if answers(source) {
+            return (Some(vec![source]), 0, 0);
+        }
+        let n = w.net.node_count();
+        let depth = w.cfg.depth;
+        let mut scratch = QueryScratch::new();
+        let mut answer = None;
+        let record = |c: NodeId| {
+            let hit = answers(c);
+            if hit {
+                answer = Some(c);
+            }
+            hit
+        };
+        let out = match &filter {
+            Some(f) => escalate_faulted_unrecorded(
+                n,
+                w.contact_tables(),
+                source,
+                depth,
+                &mut scratch,
+                f,
+                record,
+            ),
+            None => escalate_unrecorded(n, w.contact_tables(), source, depth, &mut scratch, record),
+        };
+        let chain = answer.map(|c| {
+            let mut path = Vec::new();
+            scratch.walk_path(c, &mut path);
+            path
+        });
+        (chain, out.query_msgs, out.reply_msgs)
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(12))]
+
+            /// `standing_register` resolves exactly as the
+            /// neighborhood-table answer test does: same resolved chain
+            /// (or failure) and same standing message counts, calm or
+            /// under crashes and a partition, across mobility rounds whose
+            /// incremental refreshes rebuild the zones.
+            #[test]
+            fn prop_standing_resolve_matches_contains_reference(
+                seed in 0u64..10_000,
+                faulted in any::<bool>(),
+            ) {
+                let n = 120;
+                let mut w = CardWorld::build(
+                    &Scenario::new(n, 450.0, 450.0, 60.0),
+                    cfg().with_depth(3).with_seed(seed),
+                );
+                w.select_all_contacts();
+                if faulted {
+                    w.enable_faults(FaultPlan::generate(&fault_cfg(), n, seed));
+                }
+                let splitter = SeedSplitter::new(seed);
+                let mut model = RandomWaypoint::new(
+                    n, w.network().field(), 1.0, 10.0, 0.0, splitter.stream("mobility", 0));
+                let mut rng = splitter.stream("standing", 0);
+                for _ in 0..3 {
+                    for _ in 0..10 {
+                        let s = NodeId::from(rng.index(n));
+                        let t = NodeId::from(rng.index(n));
+                        let (chain, dsq, reply) = standing_reference(&w, s, t);
+                        let dsq0 = w.stats().total(MsgKind::StandingDsq);
+                        let reply0 = w.stats().total(MsgKind::StandingReply);
+                        let id = w.standing_register(s, t);
+                        let q = w.standing_queries().get(id);
+                        prop_assert_eq!(q.is_resolved(), chain.is_some());
+                        if let Some(chain) = &chain {
+                            prop_assert_eq!(&q.path, chain);
+                        }
+                        prop_assert_eq!(w.stats().total(MsgKind::StandingDsq) - dsq0, dsq);
+                        prop_assert_eq!(w.stats().total(MsgKind::StandingReply) - reply0, reply);
+                    }
+                    w.run_mobile(&mut model, SimDuration::from_secs(2));
+                }
+            }
+        }
     }
 }
